@@ -1,0 +1,7 @@
+"""Import the benchmark's modules the way ``perfbench/run.py`` does."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent), str(HERE.parent.parent / "src")]
