@@ -92,8 +92,7 @@ __all__ = [
     "TiledSweepRunner",
 ]
 
-#: Accepted values of the runner's ``backend=`` knob (same vocabulary
-#: as the serve scheduler).
+#: Accepted values of the runner's ``backend=`` knob.
 BACKEND_CHOICES = ("auto", "thread", "process")
 
 #: Default points per tile: big enough that NumPy ufunc dispatch is
@@ -101,8 +100,7 @@ BACKEND_CHOICES = ("auto", "thread", "process")
 DEFAULT_TILE_SIZE = 65536
 
 #: Fault-injection hook for the resilience tests
-#: (``tests/batch/test_sweep.py``), mirroring the serve backend's
-#: ``REPRO_SERVE_WORKER_FAULT``: ``"raise"`` raises in every process;
+#: (``tests/batch/test_sweep.py``): ``"raise"`` raises in every process;
 #: ``"exit:<pid>"`` hard-kills any process *except* ``<pid>`` so the
 #: parent's sequential fallback still completes.
 FAULT_ENV = "REPRO_SWEEP_WORKER_FAULT"

@@ -45,9 +45,8 @@ optionally checkpointed and resumable (``--checkpoint DIR``,
 ``--resume``); see ``docs/performance.md`` ("Mega-sweeps").
 
 ``cost --record FILE`` appends every query the batch service prices
-to a JSONL traffic log; ``replay`` re-drives such a log against any
-subset of the ``thread``/``process``/``auto``/``tuned`` scheduler
-configs, asserts bitwise result parity, and writes a run dir
+to a JSONL traffic log; ``replay`` re-drives such a log through the
+scheduler, asserts bitwise result parity, and writes a run dir
 (``raw/*.json`` → ``results.csv`` → ``report.md``) — the full
 record → replay → report loop is ``docs/replay.md``.
 
@@ -170,9 +169,7 @@ def _cost_batch(args: argparse.Namespace) -> None:
     import sys as _sys
 
     from .serve import CostService, format_served_csv, format_served_json
-    service = CostService(backend=args.serve_backend,
-                          workers=args.serve_workers,
-                          record=args.record)
+    service = CostService(workers=args.serve_workers, record=args.record)
     with service:
         if args.prewarm is not None:
             from .obs.recording import (
@@ -565,12 +562,8 @@ def _cmd_fit_yield(args: argparse.Namespace) -> None:
 
 def _cmd_replay(args: argparse.Namespace) -> None:
     from .replay import run_all
-    names = [v.strip() for v in args.configs.split(",") if v.strip()]
-    if not names:
-        raise ParameterError("--configs must name at least one config")
-    summary = run_all(args.log, args.run_dir, names=names,
-                      workers=args.workers, mode=args.mode,
-                      speed=args.speed, profile=args.profile,
+    summary = run_all(args.log, args.run_dir, workers=args.workers,
+                      mode=args.mode, speed=args.speed,
                       timeout=args.timeout)
     rows = []
     for r in summary["results"]:
@@ -599,8 +592,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
 def _cmd_serve(args: argparse.Namespace) -> None:
     from .serve.http import run_server
     run_server(host=args.host, port=args.port,
-               backend=args.serve_backend, workers=args.serve_workers,
-               record=args.record,
+               workers=args.serve_workers, record=args.record,
                max_batch_size=args.max_batch_size,
                max_queue_depth=args.max_queue_depth,
                density=args.density, yield0=args.yield0, c0=args.c0,
@@ -687,12 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--record", metavar="FILE", default=None,
                       help="append every served query to FILE as a JSONL "
                            "traffic log (replayable via 'repro replay')")
-    cost.add_argument("--serve-backend", default="auto",
-                      choices=("auto", "thread", "process"),
-                      help="execution backend for batch serving")
     cost.add_argument("--serve-workers", type=int, default=1,
-                      help="worker count for the serving backend "
-                           "(threads or processes)")
+                      help="worker threads for batch serving")
 
     opt = add_parser("optimize",
                          help="cost-optimal feature size for a die area")
@@ -876,19 +864,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = add_parser(
         "replay",
-        help="replay a recorded traffic log against scheduler configs "
+        help="replay a recorded traffic log through the scheduler "
              "and write a run-dir report")
     replay.add_argument("--log", metavar="FILE", required=True,
                         help="recorder JSONL traffic log (from "
                              "'cost --record' or CostService(record=...))")
     replay.add_argument("--run-dir", metavar="DIR", required=True,
-                        help="output directory: raw/*.json, profile.json, "
+                        help="output directory: raw/*.json, "
                              "results.csv, report.md")
-    replay.add_argument("--configs", default="thread,process,auto,tuned",
-                        help="comma-separated subset of "
-                             "thread,process,auto,tuned")
     replay.add_argument("--workers", type=int, default=2,
-                        help="worker count for every replayed config")
+                        help="scheduler worker threads")
     replay.add_argument("--mode", choices=("open", "closed"),
                         default="closed",
                         help="closed: submit as fast as accepted; open: "
@@ -896,10 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--speed", type=float, default=1.0,
                         help="time-scale for open-loop arrivals "
                              "(2.0 = replay twice as fast)")
-    replay.add_argument("--profile", metavar="FILE", default=None,
-                        help="tuning profile JSON for the 'tuned' config "
-                             "(default: learn one from the other configs' "
-                             "telemetry)")
     replay.add_argument("--timeout", type=float, default=300.0,
                         help="drain deadline per config [s]")
 
@@ -910,11 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address")
     serve.add_argument("--port", type=int, default=8787,
                        help="bind port (0 picks an ephemeral port)")
-    serve.add_argument("--backend", dest="serve_backend", default="auto",
-                       choices=("auto", "thread", "process", "tuned"),
-                       help="scheduler execution backend")
     serve.add_argument("--workers", dest="serve_workers", type=int,
-                       default=1, help="worker count for the backend")
+                       default=1, help="scheduler worker threads")
     serve.add_argument("--record", metavar="FILE", default=None,
                        help="append every served query to FILE as a JSONL "
                             "traffic log (replayable via 'repro replay')")

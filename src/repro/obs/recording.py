@@ -20,8 +20,9 @@ Record schema (version 1), one JSON object per line::
 
 ``t`` is seconds since the recorder was attached (monotonic clock, so
 replay can reproduce inter-arrival gaps); ``sig`` is the
-:func:`repro.serve.tuning.signature_key` digest that joins the log
-against flush spans and tuning profiles; ``cost`` is the *served*
+:func:`signature_key` digest of the query's coalescing signature;
+``backend`` names the executor (``"thread"``; older logs may say
+``"process"``, and readers accept any string); ``cost`` is the *served*
 C_tr in dollars — the bitwise parity target replay asserts against.
 ``q`` holds enough model parameters to rebuild the query
 (:func:`record_to_query`); custom yield models that cannot be
@@ -43,13 +44,14 @@ module level (the scheduler imports :mod:`repro.obs` first); the query
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Hashable, Iterable
 
 from ..errors import ParameterError
 from . import metrics as _metrics
@@ -68,10 +70,24 @@ __all__ = [
     "load_recorded_queries",
     "query_to_record",
     "record_to_query",
+    "signature_key",
 ]
 
 #: Schema version stamped on every line; readers reject other versions.
 RECORD_VERSION = 1
+
+
+def signature_key(sig: Hashable) -> str:
+    """Stable 16-hex-digit key for one coalescing signature.
+
+    The scheduler's signatures are tuples of floats/strings/hashables
+    whose ``repr`` is deterministic across runs (float ``repr`` is the
+    shortest exact round-trip), so a digest of it identifies the same
+    model parameters in every recorded log.  Custom yield models that
+    fall back to identity-based signatures (``id(model)``) get a key
+    that is only stable within one process.
+    """
+    return hashlib.sha1(repr(sig).encode("utf-8")).hexdigest()[:16]
 
 
 def _yield_law_registry() -> dict[str, type]:
@@ -239,12 +255,14 @@ def record_to_query(data: dict[str, Any]) -> "CostQuery":
     from ..core.wafer_cost import GenerationModel, WaferCostModel
     from ..geometry.wafer import Wafer
     from ..manufacturing.test_cost import TestCostModel
+    from ..serve.io import reject_booleans
     from ..serve.query import ChipletCostQuery, FabCostQuery, ModelCostQuery
     from ..system.chiplet import ChipletCostModel, PackagingTech
 
     if not isinstance(data, dict):
         raise ParameterError(
             f"recorded query payload must be an object, got {data!r}")
+    reject_booleans(data, "recorded query payload")
     try:
         if "chiplet" in data:
             spec = data["chiplet"]

@@ -7,7 +7,7 @@ it, and returns a :class:`ReplayResult` with two kinds of truth:
 
 * **Parity** — every replayed cost is compared *bitwise* against the
   cost the original run recorded.  The serve contract says results
-  are independent of batching, backend, worker count, and chunking,
+  are independent of batching, worker count, and chunking,
   so any mismatch is a real bug (or a corrupted log), not noise.
   Replay is therefore also a regression harness: a log recorded
   yesterday re-checks today's scheduler end to end.
@@ -43,12 +43,7 @@ from ..errors import ParameterError
 from ..obs import metrics as _metrics, span as _span
 from ..obs.recording import RecordedLog, RecordedQuery, load_recorded_log
 from ..obs.state import enabled as _obs_enabled
-from ..serve.scheduler import (
-    SCHEDULER_BACKEND_CHOICES,
-    FlushRecord,
-    MicroBatchScheduler,
-)
-from ..serve.tuning import TuningProfile
+from ..serve.scheduler import FlushRecord, MicroBatchScheduler
 
 __all__ = ["ReplayConfig", "ReplayResult", "replay_log"]
 
@@ -61,63 +56,33 @@ class ReplayConfig:
     """One scheduler configuration to replay a log against.
 
     A named bundle of the :class:`~repro.serve.scheduler.
-    MicroBatchScheduler` knobs the harness sweeps — backend, workers,
-    batch/tick shape — plus the loaded
-    :class:`~repro.serve.tuning.TuningProfile` when ``backend`` is
-    ``"tuned"``.  ``name`` labels the config in run dirs, CSV rows,
-    and reports.
+    MicroBatchScheduler` knobs a replay sets — worker threads and
+    batch/tick shape.  ``name`` labels the config in run dirs, CSV
+    rows, and reports.
     """
 
-    name: str
-    backend: str = "auto"
+    name: str = "thread"
     workers: int = 1
     max_batch_size: int = 256
     max_wait_s: float = 0.002
     chunk_size: int = 4096
-    process_threshold: int = 2048
-    adaptive: bool = False
-    profile: TuningProfile | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ParameterError("config name must be non-empty")
-        if self.backend not in SCHEDULER_BACKEND_CHOICES:
-            raise ParameterError(
-                f"backend must be one of {SCHEDULER_BACKEND_CHOICES}, "
-                f"got {self.backend!r}")
-        if self.backend == "tuned" and self.profile is None:
-            raise ParameterError(
-                "a 'tuned' replay config needs its TuningProfile")
 
     def scheduler_kwargs(self) -> dict[str, Any]:
         """The keyword arguments this config hands the scheduler."""
-        kwargs: dict[str, Any] = {
+        return {
             "max_batch_size": self.max_batch_size,
             "max_wait_s": self.max_wait_s,
             "chunk_size": self.chunk_size,
             "workers": self.workers,
-            "backend": self.backend,
-            "process_threshold": self.process_threshold,
-            "adaptive": self.adaptive,
         }
-        if self.profile is not None:
-            kwargs["profile"] = self.profile
-        return kwargs
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready summary (the profile reduces to a flag + size)."""
-        return {
-            "name": self.name,
-            "backend": self.backend,
-            "workers": self.workers,
-            "max_batch_size": self.max_batch_size,
-            "max_wait_s": self.max_wait_s,
-            "chunk_size": self.chunk_size,
-            "process_threshold": self.process_threshold,
-            "adaptive": self.adaptive,
-            "tuned_signatures": len(self.profile.signatures)
-            if self.profile is not None else None,
-        }
+        """JSON-ready summary: the name plus the scheduler knobs."""
+        return {"name": self.name, **self.scheduler_kwargs()}
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -135,9 +100,9 @@ class ReplayResult:
     ``mismatches`` counts replayed costs that were not bitwise equal
     to the recorded ones (the parity contract says it must be 0).
     Latency fields are milliseconds from submit to ticket completion.
-    ``flush_records`` keeps the raw scheduler telemetry for the
-    tuning analyzer; :meth:`to_dict` summarizes it (histogram +
-    means) instead of serializing every record.
+    ``flush_records`` keeps the raw scheduler telemetry;
+    :meth:`to_dict` summarizes it (histogram + means) instead of
+    serializing every record.
     """
 
     config: ReplayConfig
@@ -189,15 +154,6 @@ class ReplayResult:
         return 1.0 - unique / total
 
     @property
-    def backend_groups(self) -> dict[str, int]:
-        """Signature groups executed per backend name."""
-        counts: dict[str, int] = {}
-        for flush in self.flush_records:
-            for g in flush.group_records:
-                counts[g.backend] = counts.get(g.backend, 0) + 1
-        return counts
-
-    @property
     def flush_size_hist(self) -> dict[str, int]:
         """Histogram of flush sizes (requests per flush → count)."""
         hist: dict[int, int] = {}
@@ -224,7 +180,6 @@ class ReplayResult:
             "mean_flush_requests": self.mean_flush_requests,
             "mean_occupancy": self.mean_occupancy,
             "dedup_rate": self.dedup_rate,
-            "backend_groups": self.backend_groups,
             "flush_size_hist": self.flush_size_hist,
         }
 

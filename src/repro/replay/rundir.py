@@ -10,18 +10,14 @@ dedup, and parity columns.  Because each stage only reads the previous
 stage's files, the CSV and report can be regenerated from ``raw/``
 alone, and partial runs leave usable artifacts.
 
-The ``"tuned"`` config is special: it is replayed *last*, against a
-:class:`~repro.serve.tuning.TuningProfile` either supplied by the
-caller or learned on the spot (:func:`~repro.replay.tuning.
-learn_profile`) from the flush telemetry the other configs just
-produced — the run dir then also contains the ``profile.json`` it
-used, so a tuned result is always reproducible from its artifacts.
+By default one config runs: ``thread``, the scheduler's one execution
+path.  Callers may pass several configs (say, different worker counts
+or tick shapes) to compare them on the same log.
 
 Layout of a finished run dir::
 
     DIR/
       raw/<config>.json     one ReplayResult.to_dict() per config
-      profile.json          the tuning profile (when "tuned" ran)
       results.csv           one aggregated row per config
       report.md             ranked markdown comparison
 """
@@ -32,66 +28,22 @@ import csv
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..errors import ParameterError
 from ..obs import span as _span
 from ..obs.recording import RecordedLog, load_recorded_log
-from ..serve.scheduler import FlushRecord
-from ..serve.tuning import TuningProfile
 from .engine import ReplayConfig, ReplayResult, replay_log
-from .tuning import learn_profile
 
-__all__ = ["CSV_COLUMNS", "configs_from_names", "default_configs",
-           "run_all", "to_results_csv", "write_report"]
-
-#: The backend names ``--configs`` accepts, in default run order.
-CONFIG_NAMES = ("thread", "process", "auto", "tuned")
+__all__ = ["CSV_COLUMNS", "run_all", "to_results_csv", "write_report"]
 
 #: Columns of ``results.csv``, in order.
 CSV_COLUMNS = (
-    "config", "backend", "workers", "mode", "n_queries", "mismatches",
+    "config", "workers", "mode", "n_queries", "mismatches",
     "wall_s", "qps", "p50_ms", "p95_ms", "p99_ms", "flushes",
     "mean_flush_requests", "mean_occupancy", "dedup_rate",
     "max_queue_depth",
 )
-
-
-def default_configs(workers: int = 2) -> list[ReplayConfig]:
-    """The standard non-tuned comparison set: thread, process, auto."""
-    return configs_from_names(("thread", "process", "auto"),
-                              workers=workers)
-
-
-def configs_from_names(names: Iterable[str], *,
-                       workers: int = 2,
-                       profile: TuningProfile | None = None,
-                       max_batch_size: int = 256,
-                       max_wait_s: float = 0.002,
-                       process_threshold: int = 2048
-                       ) -> list[ReplayConfig]:
-    """Build :class:`~repro.replay.engine.ReplayConfig`s by name.
-
-    ``names`` draws from :data:`CONFIG_NAMES`; ``"tuned"`` requires a
-    ``profile`` (in :func:`run_all` it may instead be learned from the
-    other configs' telemetry).  The remaining keywords apply to every
-    config, so the comparison isolates the backend choice.
-    """
-    configs = []
-    for name in names:
-        if name not in CONFIG_NAMES:
-            raise ParameterError(
-                f"config must be one of {CONFIG_NAMES}, got {name!r}")
-        if name == "tuned" and profile is None:
-            raise ParameterError(
-                "a 'tuned' config needs a TuningProfile "
-                "(run_all learns one when not supplied)")
-        configs.append(ReplayConfig(
-            name=name, backend=name, workers=workers,
-            max_batch_size=max_batch_size, max_wait_s=max_wait_s,
-            process_threshold=process_threshold,
-            profile=profile if name == "tuned" else None))
-    return configs
 
 
 def _write_raw(run_dir: Path, result: ReplayResult) -> Path:
@@ -132,7 +84,7 @@ def to_results_csv(run_dir: str | os.PathLike) -> Path:
         for doc in docs:
             cfg = doc["config"]
             writer.writerow([
-                cfg["name"], cfg["backend"], cfg["workers"], doc["mode"],
+                cfg["name"], cfg["workers"], doc["mode"],
                 doc["n_queries"], doc["mismatches"], doc["wall_s"],
                 doc["qps"], doc["p50_ms"], doc["p95_ms"], doc["p99_ms"],
                 doc["flushes"], doc["mean_flush_requests"],
@@ -146,9 +98,7 @@ def write_report(run_dir: str | os.PathLike) -> Path:
 
     A ranked comparison table (fastest config first) with throughput,
     p50/p95/p99 latency, flush occupancy, dedup rate, and the parity
-    verdict; when the run learned or used a ``profile.json`` its
-    per-signature thresholds are summarized below the table.  Returns
-    the report path.
+    verdict.  Returns the report path.
     """
     run_dir = Path(run_dir)
     docs = _load_raw(run_dir)
@@ -159,14 +109,14 @@ def write_report(run_dir: str | os.PathLike) -> Path:
         f"mode `{head['mode']}` (speed ×{head['speed']:g}).")
     lines.append("")
     lines.append(
-        "| rank | config | backend | workers | wall s | qps "
+        "| rank | config | workers | wall s | qps "
         "| p50 ms | p95 ms | p99 ms | occupancy | dedup | mismatches |")
     lines.append(
-        "|---:|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
+        "|---:|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
     for rank, doc in enumerate(docs, start=1):
         cfg = doc["config"]
         lines.append(
-            f"| {rank} | {cfg['name']} | {cfg['backend']} "
+            f"| {rank} | {cfg['name']} "
             f"| {cfg['workers']} | {doc['wall_s']:.3f} "
             f"| {doc['qps']:.0f} | {doc['p50_ms']:.2f} "
             f"| {doc['p95_ms']:.2f} | {doc['p99_ms']:.2f} "
@@ -183,21 +133,6 @@ def write_report(run_dir: str | os.PathLike) -> Path:
             f"**Parity: FAILED** — {total_mismatches} bitwise "
             f"mismatches against the recording (serve contract "
             f"violation; see raw/*.json).")
-    profile_path = run_dir / "profile.json"
-    if profile_path.exists():
-        profile = TuningProfile.load(profile_path)
-        lines.append("")
-        lines.append(
-            f"**Tuning profile:** {len(profile.signatures)} learned "
-            f"signature(s), default process_threshold "
-            f"{profile.default_process_threshold} (`profile.json`).")
-        for key, tuning in sorted(profile.signatures.items()):
-            rate = tuning.thread_s_per_point
-            rate_txt = f"{rate * 1e6:.2f} µs/pt" if rate else "n/a"
-            lines.append(
-                f"- `{key}`: process_threshold={tuning.process_threshold}, "
-                f"chunk_size={tuning.chunk_size}, thread rate {rate_txt}, "
-                f"{tuning.samples} samples")
     lines.append("")
     path = run_dir / "report.md"
     path.write_text("\n".join(lines), encoding="utf-8")
@@ -206,66 +141,29 @@ def write_report(run_dir: str | os.PathLike) -> Path:
 
 def run_all(log: RecordedLog | str | os.PathLike,
             run_dir: str | os.PathLike, *,
-            names: Sequence[str] = CONFIG_NAMES,
             configs: Sequence[ReplayConfig] | None = None,
             workers: int = 2,
             mode: str = "closed",
             speed: float = 1.0,
-            profile: TuningProfile | str | os.PathLike | None = None,
             timeout: float = 300.0) -> dict[str, Any]:
     """Replay a log against every config and emit the full run dir.
 
-    Configs come from ``configs`` (explicit
-    :class:`~repro.replay.engine.ReplayConfig` objects) or from
-    ``names`` (see :data:`CONFIG_NAMES`).  A ``"tuned"`` entry runs
-    last: its profile is ``profile`` (object or saved JSON path) when
-    given, otherwise learned from the flush telemetry of the configs
-    that just ran; either way the profile used is saved as
-    ``profile.json`` in the run dir.  Returns a summary dict with the
+    ``configs`` defaults to the single ``thread`` config at
+    ``workers`` threads.  Returns a summary dict with the
     :class:`~repro.replay.engine.ReplayResult` list (``"results"``),
-    the profile used (``"profile"``), and the artifact paths.
+    the artifact paths, and the total bitwise ``"mismatches"``.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(log, (str, os.PathLike)):
         log = load_recorded_log(log)
-    if isinstance(profile, (str, os.PathLike)):
-        profile = TuningProfile.load(profile)
-
     if configs is None:
-        plain = configs_from_names(
-            [n for n in names if n != "tuned"], workers=workers)
-        want_tuned = "tuned" in names
-    else:
-        plain = [c for c in configs if c.backend != "tuned"]
-        want_tuned = any(c.backend == "tuned" for c in configs)
-        for c in configs:
-            if c.backend == "tuned" and c.profile is not None \
-                    and profile is None:
-                profile = c.profile
+        configs = [ReplayConfig(name="thread", workers=workers)]
 
     results: list[ReplayResult] = []
-    with _span("replay.rundir", configs=len(plain) + int(want_tuned)):
-        for config in plain:
+    with _span("replay.rundir", configs=len(configs)):
+        for config in configs:
             result = replay_log(log, config, mode=mode, speed=speed,
-                                timeout=timeout)
-            _write_raw(run_dir, result)
-            results.append(result)
-        if want_tuned:
-            if profile is None:
-                telemetry: list[FlushRecord] = []
-                for result in results:
-                    telemetry.extend(result.flush_records)
-                profile = learn_profile(
-                    telemetry,
-                    meta={"learned_from": str(log.path)
-                          if isinstance(log, RecordedLog) else "replay",
-                          "configs": [c.name for c in plain]})
-            profile.save(run_dir / "profile.json")
-            tuned_config = ReplayConfig(
-                name="tuned", backend="tuned", workers=workers,
-                profile=profile)
-            result = replay_log(log, tuned_config, mode=mode, speed=speed,
                                 timeout=timeout)
             _write_raw(run_dir, result)
             results.append(result)
@@ -274,7 +172,6 @@ def run_all(log: RecordedLog | str | os.PathLike,
     return {
         "run_dir": run_dir,
         "results": results,
-        "profile": profile if want_tuned else None,
         "csv": csv_path,
         "report": report_path,
         "mismatches": sum(r.mismatches for r in results),

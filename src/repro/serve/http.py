@@ -65,8 +65,7 @@ the server marks itself draining — new requests and connections get
 complete (their costs land in the ``record=`` log), then closes the
 listener and the owned service (flushing the recorder) and lets
 :meth:`~CostHttpServer.wait_closed` return.  A log recorded here
-replays byte-for-byte through ``python -m repro replay`` and feeds
-``backend="tuned"``.
+replays byte-for-byte through ``python -m repro replay``.
 """
 
 from __future__ import annotations
@@ -75,9 +74,11 @@ import asyncio
 import concurrent.futures
 import contextlib
 import functools
+import inspect
 import json
 import signal
 import threading
+import time
 from typing import Any, Awaitable, Callable
 
 from ..errors import (
@@ -90,7 +91,13 @@ from ..obs.recording import record_to_query
 from ..obs.state import enabled as _obs_enabled
 from .aio import AsyncCostService
 from .codec import error_body, retry_after_s, status_for
-from .io import RESULT_FIELDS, format_served_json, normalize_point, served_row
+from .io import (
+    RESULT_FIELDS,
+    format_served_json,
+    normalize_point,
+    reject_booleans,
+    served_row,
+)
 from .query import ChipletCostQuery, CostQuery, ModelCostQuery, ServedCost
 
 __all__ = [
@@ -119,6 +126,8 @@ DEFAULT_MODEL_PARAMS = {
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 _READ_CHUNK = 65536
+#: How often a foreground drain re-checks that the loop thread lives.
+_DRAIN_POLL_S = 0.05
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -304,6 +313,7 @@ def chiplet_point_to_query(body: dict[str, Any],
     unknown = set(body) - _CHIPLET_POINT_FIELDS
     if unknown:
         raise ParameterError(f"{where}: unknown fields {sorted(unknown)}")
+    reject_booleans(body, where)
     transistors = body.get("transistors")
     feature_size = body.get("feature_size")
     if transistors is None or feature_size is None:
@@ -337,8 +347,8 @@ class CostHttpServer:
     """The asyncio HTTP server over one (possibly shared) cost service.
 
     Standalone construction owns an :class:`AsyncCostService` (keyword
-    arguments beyond the ones below go to its scheduler — ``backend``,
-    ``workers``, ``record``, ...); pass ``service=`` to share an
+    arguments beyond the ones below go to its scheduler — ``workers``,
+    ``record``, ...); pass ``service=`` to share an
     existing one, which drain then leaves open.  ``port=0`` binds an
     ephemeral port, readable from :attr:`port` after :meth:`start`.
 
@@ -675,6 +685,7 @@ class CostHttpServer:
         if unknown:
             raise ParameterError(
                 f"POST /v1/optimize: unknown fields {sorted(unknown)}")
+        reject_booleans(body, "POST /v1/optimize")
         loop = asyncio.get_running_loop()
         if "die_area" in body:
             area = body["die_area"]
@@ -792,13 +803,31 @@ class ServerThread:
             if self._thread is not None:
                 self._thread.join(timeout=timeout)
             return
-        try:
-            future.result(timeout=timeout)
-        except concurrent.futures.CancelledError:
-            # A completed drain lets the loop shut down out from under
-            # this call — the race means the work is already done.
-            if self._thread is not None:
-                self._thread.join(timeout=timeout)
+        # A loop that is already shutting down (an earlier drain let
+        # wait_closed return) may never run the submitted drain, so
+        # the future would never settle.  Return once either the drain
+        # completes or the loop thread has exited.
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                future.result(timeout=_DRAIN_POLL_S)
+                return
+            except concurrent.futures.CancelledError:
+                break  # the loop shut down under this call: drained
+            except concurrent.futures.TimeoutError:
+                if future.done():
+                    raise  # the drain itself timed out
+                if self._thread is None or not self._thread.is_alive():
+                    future.cancel()
+                    if inspect.getcoroutinestate(coro) \
+                            == inspect.CORO_CREATED:
+                        coro.close()  # never ran: nothing to await
+                    return
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(
+                        f"server drain did not finish in {timeout} s")
+        if self._thread is not None:
+            self._thread.join(timeout=timeout)
 
     def __exit__(self, *exc_info: object) -> None:
         try:

@@ -37,6 +37,7 @@ __all__ = [
     "format_served_json",
     "load_points",
     "normalize_point",
+    "reject_booleans",
     "served_row",
 ]
 
@@ -80,6 +81,25 @@ def normalize_point(record: dict, where: str) -> dict[str, float]:
     return _normalize_record(record, where)
 
 
+def reject_booleans(value: object, where: str) -> None:
+    """Raise :class:`~repro.errors.ParameterError` on any JSON boolean.
+
+    ``bool`` subclasses ``int``, so ``true`` would pass every numeric
+    check as 1 (N_tr = 1, λ = 1 µm).  No request or recorded-query
+    field is boolean, so ``value`` is walked through nested objects
+    and arrays; ``where`` labels the error.
+    """
+    if value is True or value is False:
+        raise ParameterError(
+            f"{where}: boolean {value!r} where a number belongs")
+    if isinstance(value, dict):
+        for item in value.values():
+            reject_booleans(item, where)
+    elif isinstance(value, list):
+        for item in value:
+            reject_booleans(item, where)
+
+
 def _normalize_record(record: dict, where: str) -> dict[str, float]:
     point: dict[str, float] = {}
     for raw_key, value in record.items():
@@ -90,6 +110,8 @@ def _normalize_record(record: dict, where: str) -> dict[str, float]:
                 f"of {sorted(set(_ALIASES))})")
         if value is None or (isinstance(value, str) and not value.strip()):
             continue  # empty CSV cell: fall back to the CLI default
+        if isinstance(value, bool):
+            reject_booleans(value, f"{where}: field {raw_key!r}")
         try:
             point[key] = float(value)
         except (TypeError, ValueError):

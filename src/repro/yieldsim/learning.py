@@ -59,10 +59,15 @@ class YieldLearningCurve:
                 "mature density cannot exceed the initial density")
 
     def density(self, months: float) -> float:
-        """D(t) in defects/cm²."""
+        """D(t) in defects/cm², exactly D0 at t = 0 and never above it."""
         require_nonnegative("months", months)
         d0, dinf = self.initial_density_per_cm2, self.mature_density_per_cm2
-        return dinf + (d0 - dinf) * math.exp(-months / self.time_constant_months)
+        decay = math.exp(-months / self.time_constant_months)
+        if decay == 1.0:
+            return d0
+        # D∞ + (D0 − D∞)·decay can round one ulp above D0 as decay → 1;
+        # the clamp keeps D(t) in [D∞, D0] without breaking monotonicity.
+        return min(d0, dinf + (d0 - dinf) * decay)
 
     def yield_at(self, months: float, die_area_cm2: float) -> float:
         """Y(t) for a die of the given area."""

@@ -1,9 +1,8 @@
-"""Shared fixtures: environment-selected serve/sweep backend matrix.
+"""Shared fixtures: environment-selected serve workers and sweep backend.
 
-CI runs the serve suites twice — once as-is, once with
-``REPRO_SERVE_BACKEND=process REPRO_SERVE_WORKERS=2`` — so every
-scheduler/service/parity test doubles as a process-backend test
-without duplicating the files (the same idiom as
+``REPRO_SERVE_WORKERS=2`` reruns every scheduler/service/parity test
+with a two-thread worker pool, so the chunked execution path is
+covered without duplicating the files (the same idiom as
 ``REPRO_TEST_WORKERS`` for the Monte Carlo shards).
 ``REPRO_SWEEP_BACKEND``/``REPRO_SWEEP_WORKERS`` do the same for every
 test that goes through :class:`repro.batch.sweep.TiledSweepRunner` —
@@ -13,30 +12,28 @@ injections use ``setdefault``: tests that pin ``backend=``/
 ``workers=`` explicitly keep their pinned values.
 """
 
+import functools
 import os
 
 import pytest
 
-_BACKEND = os.environ.get("REPRO_SERVE_BACKEND")
 _WORKERS = os.environ.get("REPRO_SERVE_WORKERS")
 _SWEEP_BACKEND = os.environ.get("REPRO_SWEEP_BACKEND")
 _SWEEP_WORKERS = os.environ.get("REPRO_SWEEP_WORKERS")
 
 
 @pytest.fixture(autouse=True, scope="session")
-def _serve_backend_from_env():
-    if not (_BACKEND or _WORKERS):
+def _serve_workers_from_env():
+    if not _WORKERS:
         yield
         return
     from repro.serve.scheduler import MicroBatchScheduler
 
     original = MicroBatchScheduler.__init__
 
+    @functools.wraps(original)
     def injected(self, **kwargs):
-        if _BACKEND:
-            kwargs.setdefault("backend", _BACKEND)
-        if _WORKERS:
-            kwargs.setdefault("workers", int(_WORKERS))
+        kwargs.setdefault("workers", int(_WORKERS))
         original(self, **kwargs)
 
     MicroBatchScheduler.__init__ = injected
@@ -55,6 +52,7 @@ def _sweep_backend_from_env():
 
     original = TiledSweepRunner.__init__
 
+    @functools.wraps(original)
     def injected(self, **kwargs):
         if _SWEEP_BACKEND:
             kwargs.setdefault("backend", _SWEEP_BACKEND)

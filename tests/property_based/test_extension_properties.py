@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import LearningCurvePrice, MarginModel, ShrinkAnalysis
@@ -18,12 +18,17 @@ class TestLearningCurveProperties:
            tau=st.floats(min_value=0.5, max_value=36.0),
            t1=st.floats(min_value=0.0, max_value=100.0),
            t2=st.floats(min_value=0.0, max_value=100.0))
+    # D∞ + (D0 − D∞)·exp(−t/τ) rounded to D0 + 1 ulp here while
+    # exp(−t/τ) still equals 1.0.
+    @example(d0=11.492225108932212, floor_frac=0.23855368677617922,
+             tau=1.0, t1=0.0, t2=1e-300)
     def test_density_monotone_and_bounded(self, d0, floor_frac, tau, t1, t2):
         assume(t1 < t2)
         curve = YieldLearningCurve(d0, d0 * floor_frac, tau)
         da, db = curve.density(t1), curve.density(t2)
         assert da >= db
         assert d0 * floor_frac <= db <= d0
+        assert curve.density(0.0) == d0
 
     @given(d0=st.floats(min_value=0.5, max_value=20.0),
            tau=st.floats(min_value=1.0, max_value=24.0),

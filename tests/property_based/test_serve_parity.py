@@ -11,6 +11,9 @@ freedom the contract quantifies over:
   worker pool, and duplicated points exercising dedup fan-out;
 * *arrival order* — a permutation of the same multiset of queries
   must produce the same result for each query.
+
+The recorded-query codec must also preserve the coalescing signature
+and the design point, so replayed traffic groups like the original.
 """
 
 import math
@@ -27,6 +30,8 @@ from repro.core.transistor_cost import TransistorCostModel
 from repro.core.wafer_cost import WaferCostModel
 from repro.errors import ParameterError
 from repro.geometry import Wafer
+from repro.obs.recording import query_to_record, record_to_query, \
+    signature_key
 from repro.serve import CostService, FabCostQuery, ModelCostQuery
 from repro.yieldsim import PoissonYield, ReferenceAreaYield
 
@@ -183,39 +188,36 @@ class TestAsyncParity:
 
 
 class TestExecutionMatrixParity:
-    """PR-5 quantifiers: backend choice, worker count, shm chunk size,
-    and the adaptive tick must all be bitwise invisible."""
+    """Worker count, chunk size, batch size and tick length must all be
+    bitwise invisible."""
 
     @settings(max_examples=8, deadline=None)
     @given(points=st.lists(point_strategy, min_size=4, max_size=24),
            workers=st.integers(min_value=1, max_value=3),
            chunk_size=st.integers(min_value=1, max_value=7),
            max_batch_size=st.integers(min_value=2, max_value=16))
-    def test_process_backend_matches_thread_backend(
+    def test_worker_pool_matches_inline_execution(
             self, points, workers, chunk_size, max_batch_size):
         queries = [FabCostQuery(n, lam) for n, lam in points]
-        reference = _serve(queries, backend="thread", workers=1)
-        process = _serve(queries, backend="process", workers=workers,
-                         chunk_size=chunk_size,
-                         max_batch_size=max_batch_size)
-        assert process == reference
+        reference = _serve(queries, workers=1)
+        pooled = _serve(queries, workers=workers, chunk_size=chunk_size,
+                        max_batch_size=max_batch_size)
+        assert pooled == reference
         for (n, lam), result in zip(points, reference):
             _assert_bitwise(result, transistor_cost_full(n, lam))
 
     @settings(max_examples=8, deadline=None)
     @given(points=st.lists(point_strategy, min_size=2, max_size=20),
-           lo=st.floats(min_value=1e-5, max_value=1e-3),
-           span=st.floats(min_value=1.0, max_value=50.0))
-    def test_adaptive_tick_matches_fixed_tick(self, points, lo, span):
+           wait_s=st.floats(min_value=0.0, max_value=0.005))
+    def test_tick_length_is_bitwise_invisible(self, points, wait_s):
         queries = [FabCostQuery(n, lam) for n, lam in points]
-        fixed = _serve(queries, max_batch_size=4)
-        adaptive = _serve(queries, max_batch_size=4, adaptive=True,
-                          wait_bounds=(lo, lo * span))
-        assert adaptive == fixed
+        reference = _serve(queries, max_batch_size=4)
+        ticked = _serve(queries, max_batch_size=4, max_wait_s=wait_s)
+        assert ticked == reference
 
-    def test_model_queries_cross_the_process_boundary_bitwise(self):
-        # ModelCostQuery exemplars (model + yield law) are pickled to
-        # the pool; the answers must still match the scalar evaluate().
+    def test_model_queries_on_worker_threads_bitwise(self):
+        # ModelCostQuery groups (model + yield law) chunked across
+        # worker threads must still match the scalar evaluate().
         model = TransistorCostModel(
             wafer_cost=WaferCostModel(reference_cost_dollars=640.0,
                                       cost_growth_rate=1.7),
@@ -226,8 +228,8 @@ class TestExecutionMatrixParity:
         queries = [ModelCostQuery(n, lam, model=model,
                                   design_density=120.0, yield_model=law)
                    for n, lam in points]
-        served = _serve(queries, backend="process", workers=2,
-                        chunk_size=4, max_batch_size=32)
+        served = _serve(queries, workers=2, chunk_size=4,
+                        max_batch_size=32)
         for (n, lam), result in zip(points, served):
             want = model.evaluate(n_transistors=n, feature_size_um=lam,
                                   design_density=120.0, yield_model=law)
@@ -235,3 +237,16 @@ class TestExecutionMatrixParity:
                 == want.cost_per_transistor_dollars
             assert result.yield_value == want.yield_value
             assert result.dies_per_wafer == want.dies_per_wafer
+
+
+class TestRecordedQueryRoundTrip:
+    @settings(max_examples=50, deadline=None)
+    @given(point=point_strategy)
+    def test_fab_query_codec_preserves_identity(self, point):
+        n, lam = point
+        query = FabCostQuery(n, lam)
+        rebuilt = record_to_query(query_to_record(query))
+        assert rebuilt.signature() == query.signature()
+        assert rebuilt.point() == query.point()
+        assert signature_key(rebuilt.signature()) \
+            == signature_key(query.signature())

@@ -11,8 +11,8 @@ Hypothesis drives the quantifiers:
   arrays, including zeros and non-contiguous slices;
 * the ``out=`` write path, which must land the same bits in a caller
   buffer;
-* the serve execution matrix (backend, workers, chunking, batch
-  slicing), mirroring ``test_serve_parity.py`` — a hierarchical model
+* the serve execution matrix (workers, chunking, batch slicing),
+  mirroring ``test_serve_parity.py`` — a hierarchical model
   priced through the service must be bitwise equal to the scalar
   ``evaluate()``.
 """
@@ -169,7 +169,7 @@ def _cost_model():
 class TestServeExecutionMatrix:
     """The new laws priced through :mod:`repro.serve` must be bitwise
     equal to the scalar ``evaluate()`` under any scheduler slicing,
-    worker count, chunk size and backend — the same matrix
+    worker count and chunk size — the same matrix
     ``test_serve_parity.py`` pins for the classical laws."""
 
     @settings(max_examples=10, deadline=None)
@@ -209,9 +209,9 @@ class TestServeExecutionMatrix:
                 == want.cost_per_transistor_dollars
             assert result.yield_value == want.yield_value
 
-    def test_compound_family_crosses_process_boundary_bitwise(self):
-        # CPG and mixture exemplars are pickled to the process pool;
-        # answers must match the in-process scalar path bitwise.
+    def test_compound_family_on_worker_threads_bitwise(self):
+        # CPG and mixture groups chunked across worker threads must
+        # match the scalar path bitwise.
         model = _cost_model()
         laws = [
             CompoundPoissonGamma(alpha=1.5),
@@ -225,8 +225,8 @@ class TestServeExecutionMatrix:
                                       yield_model=law,
                                       defect_density_per_cm2=0.8)
                        for n, lam in points]
-            served = _serve(queries, backend="process", workers=2,
-                            chunk_size=3, max_batch_size=16)
+            served = _serve(queries, workers=2, chunk_size=3,
+                            max_batch_size=16)
             for (n, lam), result in zip(points, served):
                 want = model.evaluate(n_transistors=n,
                                       feature_size_um=lam,

@@ -7,7 +7,6 @@ from repro.obs.recording import RecordedQuery, load_recorded_log
 from repro.replay import replay_log
 from repro.replay.engine import ReplayConfig
 from repro.serve import FabCostQuery, MicroBatchScheduler
-from repro.serve.tuning import SignatureTuning, TuningProfile, signature_key
 
 
 def _record_log(tmp_path, n=40):
@@ -22,19 +21,14 @@ def _record_log(tmp_path, n=40):
 
 
 class TestConfigValidation:
-    def test_bad_backend_and_empty_name(self):
-        with pytest.raises(ParameterError):
-            ReplayConfig(name="x", backend="fiber")
+    def test_empty_name_rejected(self):
         with pytest.raises(ParameterError):
             ReplayConfig(name="")
-
-    def test_tuned_requires_profile(self):
-        with pytest.raises(ParameterError, match="Profile"):
-            ReplayConfig(name="tuned", backend="tuned")
+        assert ReplayConfig().name == "thread"
 
     def test_bad_mode_and_speed(self, tmp_path):
         log_path = _record_log(tmp_path, n=4)
-        config = ReplayConfig(name="thread", backend="thread")
+        config = ReplayConfig(name="thread")
         with pytest.raises(ParameterError, match="mode"):
             replay_log(log_path, config, mode="sideways")
         with pytest.raises(ParameterError, match="speed"):
@@ -45,7 +39,7 @@ class TestParity:
     @pytest.mark.parametrize("mode", ["open", "closed"])
     def test_zero_mismatches_against_own_recording(self, tmp_path, mode):
         log_path = _record_log(tmp_path)
-        config = ReplayConfig(name="thread", backend="thread")
+        config = ReplayConfig(name="thread")
         result = replay_log(log_path, config, mode=mode, speed=1000.0)
         assert result.n_queries == 40
         assert result.n_skipped == 0
@@ -56,7 +50,7 @@ class TestParity:
     def test_accepts_log_object_and_path(self, tmp_path):
         log_path = _record_log(tmp_path, n=8)
         log = load_recorded_log(log_path)
-        config = ReplayConfig(name="auto", backend="auto")
+        config = ReplayConfig(name="thread")
         by_path = replay_log(log_path, config, mode="closed")
         by_obj = replay_log(log, config, mode="closed")
         assert by_path.mismatches == by_obj.mismatches == 0
@@ -70,7 +64,7 @@ class TestParity:
             t=bad.t, kind=bad.kind, sig=bad.sig, flush=bad.flush,
             backend=bad.backend, cost=(bad.cost or 1.0) * 1.5,
             query=bad.query)
-        config = ReplayConfig(name="thread", backend="thread")
+        config = ReplayConfig(name="thread")
         result = replay_log(records, config, mode="closed")
         assert result.mismatches == 1
 
@@ -81,36 +75,17 @@ class TestParity:
         records.append(RecordedQuery(t=1.0, kind="model", sig="x",
                                      flush=9, backend="thread",
                                      cost=None, query=None))
-        config = ReplayConfig(name="thread", backend="thread")
+        config = ReplayConfig(name="thread")
         result = replay_log(records, config, mode="closed")
         assert result.n_queries == 8
         assert result.n_skipped == 1
         assert result.mismatches == 0
 
 
-class TestTunedConfig:
-    def test_tuned_replay_matches_recording(self, tmp_path):
-        log_path = _record_log(tmp_path)
-        log = load_recorded_log(log_path)
-        keys = {signature_key(r.query.signature())
-                for r in log.replayable()}
-        profile = TuningProfile(
-            default_process_threshold=2048,
-            signatures={key: SignatureTuning(process_threshold=4,
-                                             chunk_size=512)
-                        for key in keys})
-        config = ReplayConfig(name="tuned", backend="tuned", workers=2,
-                              profile=profile)
-        result = replay_log(log, config, mode="closed")
-        assert result.mismatches == 0
-        assert result.config.to_dict()["tuned_signatures"] == len(keys)
-
-
 class TestMeasurement:
     def test_flush_telemetry_and_derived_stats(self, tmp_path):
         log_path = _record_log(tmp_path)
-        config = ReplayConfig(name="thread", backend="thread",
-                              max_batch_size=16)
+        config = ReplayConfig(name="thread", max_batch_size=16)
         result = replay_log(log_path, config, mode="closed")
         assert result.flushes >= 1
         assert result.qps > 0.0
@@ -118,7 +93,6 @@ class TestMeasurement:
         assert 0.0 <= result.dedup_rate < 1.0
         assert 0.0 < result.mean_occupancy <= 1.0
         assert sum(result.flush_size_hist.values()) == result.flushes
-        assert set(result.backend_groups) <= {"thread", "process"}
         doc = result.to_dict()
         assert doc["n_queries"] == 40
         assert doc["mismatches"] == 0
@@ -128,7 +102,7 @@ class TestMeasurement:
         # With a huge speed factor the recorded gaps collapse; the
         # replay must still finish and preserve parity.
         log_path = _record_log(tmp_path, n=12)
-        config = ReplayConfig(name="auto", backend="auto")
+        config = ReplayConfig(name="thread")
         result = replay_log(log_path, config, mode="open", speed=1e6)
         assert result.mismatches == 0
         assert result.max_queue_depth >= 0

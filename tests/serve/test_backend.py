@@ -1,23 +1,11 @@
-"""Execution backends: parity, chunk routing, and shm leak-freedom.
+"""The thread backend: inline and pooled execution, bitwise parity.
 
-The leak contract under test: every shared-memory block a
-``ProcessBackend`` creates is *unlinked* by the time ``run_group``
-returns — on success, on an injected worker error, and on a hard
-worker crash that breaks the pool — and ``close()`` sweeps anything a
-hypothetical interrupted flush left behind.
+Chunking a group across worker threads must never change a bit, and
+without a pool a group is priced in one chunk.
 """
 
-import os
-import warnings
-
-import pytest
-
 from repro.core.optimization import FIG8_FAB, transistor_cost_full
-from repro.serve import FabCostQuery, ProcessBackend, ThreadBackend
-from repro.serve.backend import FAULT_ENV, validate_backend
-from repro.serve.shm import ShmBlock
-from repro.errors import ParameterError
-from repro.yieldsim.parallel import ParallelExecutionWarning
+from repro.serve import FabCostQuery, ThreadBackend
 
 
 def _points(k, lam=0.8):
@@ -29,40 +17,6 @@ def _assert_parity(result, points):
         want = transistor_cost_full(n, lam, FIG8_FAB)
         got = result.cost(slot)
         assert got == want or (got == float("inf") and want == float("inf"))
-
-
-@pytest.fixture
-def track_blocks(monkeypatch):
-    """Record every ShmBlock the backend creates, for leak assertions."""
-    created = []
-    real_create = ShmBlock.create.__func__
-
-    class Recording(ShmBlock):
-        @classmethod
-        def create(cls, rows, cols):
-            block = real_create(cls, rows, cols)
-            created.append(block)
-            return block
-
-    monkeypatch.setattr("repro.serve.backend.ShmBlock", Recording)
-    return created
-
-
-def _assert_unlinked(created):
-    assert created, "backend never allocated a block"
-    for block in created:
-        with pytest.raises(FileNotFoundError):
-            ShmBlock.attach(block.name, *block.shape)
-
-
-class TestValidateBackend:
-    def test_known_choices_pass_through(self):
-        for choice in ("auto", "thread", "process"):
-            assert validate_backend(choice) == choice
-
-    def test_unknown_choice_rejected(self):
-        with pytest.raises(ParameterError):
-            validate_backend("fiber")
 
 
 class TestThreadBackend:
@@ -94,89 +48,3 @@ class TestThreadBackend:
         finally:
             inline.close()
             pooled.close()
-
-
-class TestProcessBackend:
-    def test_parity_and_no_leak_on_success(self, track_blocks):
-        backend = ProcessBackend(workers=2, chunk_size=8)
-        try:
-            points = _points(30, lam=0.7)
-            result = backend.run_group(FabCostQuery(*points[0]), points,
-                                       None)
-            _assert_parity(result, points)
-        finally:
-            backend.close()
-        _assert_unlinked(track_blocks)
-
-    def test_chunks_spread_over_workers(self):
-        backend = ProcessBackend(workers=4, chunk_size=1000)
-        # 10 points over 4 workers: ceil(10/4)=3 per chunk -> 4 chunks.
-        assert backend.n_chunks_for(10) == 4
-        # chunk_size still caps the spread for huge groups.
-        assert backend.n_chunks_for(100_000) == 100
-
-    def test_worker_error_propagates_and_unlinks(self, monkeypatch,
-                                                 track_blocks):
-        monkeypatch.setenv(FAULT_ENV, "raise")
-        backend = ProcessBackend(workers=2)
-        try:
-            points = _points(6)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ParallelExecutionWarning)
-                with pytest.raises(RuntimeError,
-                                   match="injected serve worker fault"):
-                    backend.run_group(FabCostQuery(*points[0]), points,
-                                      None)
-        finally:
-            backend.close()
-        _assert_unlinked(track_blocks)
-
-    def test_worker_crash_falls_back_and_recovers(self, monkeypatch,
-                                                  track_blocks):
-        # Every pool worker hard-exits; the parent (whose pid is
-        # exempt) must finish the flush in-process with correct
-        # numbers, unlink the block, and replace the broken pool on
-        # the next flush once the fault clears.
-        monkeypatch.setenv(FAULT_ENV, f"exit:{os.getpid()}")
-        backend = ProcessBackend(workers=2)
-        try:
-            points = _points(12, lam=0.9)
-            exemplar = FabCostQuery(*points[0])
-            with pytest.warns(ParallelExecutionWarning):
-                result = backend.run_group(exemplar, points, None)
-            _assert_parity(result, points)
-            broken_pool = backend._pool
-            assert getattr(broken_pool, "_broken", False)
-
-            monkeypatch.delenv(FAULT_ENV)
-            again = backend.run_group(exemplar, points, None)
-            _assert_parity(again, points)
-            assert backend._pool is not broken_pool
-            assert not getattr(backend._pool, "_broken", False)
-        finally:
-            backend.close()
-        _assert_unlinked(track_blocks)
-
-    def test_close_sweeps_straggler_blocks(self):
-        backend = ProcessBackend(workers=2)
-        straggler = ShmBlock.create(8, 4)
-        backend._live[straggler.name] = straggler
-        backend.close()
-        with pytest.raises(FileNotFoundError):
-            ShmBlock.attach(straggler.name, 8, 4)
-
-    def test_cache_flag_round_trip(self, track_blocks):
-        # use_cache=True routes workers to their process-local default
-        # cache; results stay bitwise identical to the uncached run.
-        from repro.batch.cache import BatchCache
-        backend = ProcessBackend(workers=2, chunk_size=4)
-        try:
-            points = _points(9, lam=0.65)
-            exemplar = FabCostQuery(*points[0])
-            cached = backend.run_group(exemplar, points, BatchCache())
-            uncached = backend.run_group(exemplar, points, None)
-            assert cached.cost_per_transistor_dollars.tolist() \
-                == uncached.cost_per_transistor_dollars.tolist()
-        finally:
-            backend.close()
-        _assert_unlinked(track_blocks)

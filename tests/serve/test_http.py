@@ -13,6 +13,7 @@ from repro.errors import ParameterError
 from repro.obs.recording import load_recorded_log, query_to_record
 from repro.serve import (
     AsyncCostService,
+    ChipletCostQuery,
     CostService,
     FabCostQuery,
     scalar_reference_cost,
@@ -72,6 +73,13 @@ def _http(port: int, method: str, target: str, body: str = ""
     with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
         sock.sendall(_request_bytes(method, target, body))
         return _read_response(sock)
+
+
+def _with_fab_field(record: dict, name: str, value) -> dict:
+    """A chiplet ``q`` payload with one fab field replaced."""
+    spec = dict(record["chiplet"])
+    spec["fab"] = {**spec["fab"], name: value}
+    return {**record, "chiplet": spec}
 
 
 class TestRequestParser:
@@ -259,6 +267,31 @@ class TestEndpoints:
         assert status == 400
         assert "feature_siez" in json.loads(body)["message"]
 
+    @pytest.mark.parametrize("route,body", [
+        ("/v1/cost", {"transistors": True, "feature_size": 0.8}),
+        ("/v1/cost", {"q": {**query_to_record(FabCostQuery(1e6, 0.8)),
+                            "n": True}}),
+        ("/v1/cost/bulk", {"points": {"transistors": [1e6, True],
+                                      "feature_size": [0.8, 0.8]}}),
+        ("/v1/cost/bulk", {"points": [{"transistors": True,
+                                       "feature_size": 0.8}]}),
+        ("/v1/cost/bulk", {"queries": [
+            {**query_to_record(FabCostQuery(1e6, 0.8)), "lam": True}]}),
+        ("/v1/chiplet", {"transistors": 1e7, "feature_size": True}),
+        ("/v1/chiplet", {"q": _with_fab_field(
+            query_to_record(ChipletCostQuery(1e7, 0.8)),
+            "design_density", True)}),
+        ("/v1/optimize", {"die_area": True}),
+        ("/v1/optimize", {"die_areas": [1.0, True]}),
+    ], ids=["cost-bare", "cost-q", "bulk-columnar", "bulk-rows",
+            "bulk-queries", "chiplet-bare", "chiplet-q", "optimize",
+            "optimize-list"])
+    def test_boolean_numeric_field_400(self, server, route, body):
+        status, _, reply = _http(server.port, "POST", route,
+                                 json.dumps(body))
+        assert status == 400
+        assert json.loads(reply)["error"] == "bad_request"
+
     def test_parse_error_closes_connection(self, server):
         with socket.create_connection(("127.0.0.1", server.port),
                                       timeout=30) as sock:
@@ -390,6 +423,27 @@ class TestGracefulDrain:
             srv.drain()  # second drain: immediate no-op
         assert srv._thread is not None
         assert not srv._thread.is_alive()
+
+    def test_drain_returns_when_the_loop_never_runs_it(self):
+        # The interleaving behind a foreground drain hang: a drain is
+        # handed to a loop that is shutting down (an earlier drain let
+        # the server close) and never runs it.  Model it exactly: the
+        # server thread has exited and the drain lands on a loop that
+        # is open but never run again.
+        srv = ServerThread(cache=None)
+        with srv:
+            asyncio.run_coroutine_threadsafe(
+                srv.server.drain(), srv._loop).result(timeout=30)
+            srv._thread.join(timeout=30)
+            assert not srv._thread.is_alive()
+            idle = asyncio.new_event_loop()
+            srv._loop = idle
+            try:
+                t0 = time.monotonic()
+                srv.drain(timeout=10)
+                assert time.monotonic() - t0 < 5
+            finally:
+                idle.close()
 
 
 class TestServerConstruction:

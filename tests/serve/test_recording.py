@@ -15,9 +15,9 @@ from repro.obs.recording import (
     load_recorded_queries,
     query_to_record,
     record_to_query,
+    signature_key,
 )
 from repro.serve import FabCostQuery, MicroBatchScheduler, ModelCostQuery
-from repro.serve.tuning import signature_key
 from repro.yieldsim import (
     MixtureYieldModel,
     MurphyYield,
@@ -79,6 +79,20 @@ class TestQueryRoundTrip:
         with pytest.raises(ParameterError):
             record_to_query("not an object")
 
+    def test_signature_key_is_stable_and_short(self):
+        sig = ("fab", 1.8, 500.0, 7.5, 150.0, 0.3, 2.0)
+        key = signature_key(sig)
+        assert key == signature_key(("fab", 1.8, 500.0, 7.5, 150.0,
+                                     0.3, 2.0))
+        assert len(key) == 16
+        assert key != signature_key(sig + ("x",))
+
+    def test_signature_key_digest_is_pinned(self):
+        # Logs on disk carry this digest; changing the hash would
+        # orphan every recording made before the change.
+        assert signature_key(FabCostQuery(1e6, 0.8).signature()) \
+            == "910f9c480fec4262"
+
 
 class TestRecorderThroughScheduler:
     def test_lines_carry_schema_and_bitwise_costs(self, tmp_path):
@@ -98,7 +112,7 @@ class TestRecorderThroughScheduler:
             assert line["cost"] == cost        # bitwise through JSON repr
             assert line["t"] >= 0.0
             assert line["flush"] >= 1
-            assert line["backend"] in ("thread", "process")
+            assert line["backend"] == "thread"
 
     def test_loaded_log_replays_to_equal_queries(self, tmp_path):
         log_path = tmp_path / "traffic.jsonl"
@@ -120,11 +134,8 @@ class TestRecorderThroughScheduler:
             """A custom law the recorder must refuse to serialize."""
 
         log_path = tmp_path / "traffic.jsonl"
-        # backend pinned: a locally defined yield law cannot pickle to
-        # an (env-injected) process pool, and this test is about the
-        # recorder's degradation path, not routing.
         with MicroBatchScheduler(max_batch_size=4, record=log_path,
-                                 backend="thread", cache=None) as sched:
+                                 cache=None) as sched:
             sched.submit(_model_query(yield_model=Weird())).result(
                 timeout=10.0)
             assert sched.recorder is not None
@@ -207,3 +218,29 @@ class TestFormatDetection:
         jsn.write_text('[{"transistors": 1e6, "feature_size": 0.8}]\n')
         assert not is_recorded_log(jsn)
         assert not is_recorded_log(tmp_path / "missing.jsonl")
+
+
+#: Two lines recorded by an earlier build that priced this flush on a
+#: shared-memory process pool: schema v1 with ``"backend": "process"``.
+_PROCESS_ERA_LOG = "".join(
+    '{"v": 1, "t": 0.0191, "kind": "fab", "sig": "910f9c480fec4262", '
+    '"flush": 1, "backend": "process", "cost": %r, "q": {"n": %r, '
+    '"lam": %r, "fab": {"cost_growth_rate": 1.4, '
+    '"reference_cost_dollars": 500.0, "wafer_radius_cm": 7.5, '
+    '"design_density": 152.0, "defect_coefficient": 1.72, '
+    '"size_exponent_p": 4.07}}}\n' % row
+    for row in ((0.00024604563870584187, 1e6, 0.8),
+                (41262.344650230756, 3.1e6, 0.6)))
+
+
+class TestOlderLogs:
+    def test_process_backend_log_replays_bitwise(self, tmp_path):
+        from repro.replay import ReplayConfig, replay_log
+        log_path = tmp_path / "old.jsonl"
+        log_path.write_text(_PROCESS_ERA_LOG)
+        log = load_recorded_log(log_path)
+        assert [r.backend for r in log.records] == ["process", "process"]
+        result = replay_log(log, ReplayConfig(), mode="closed")
+        assert result.n_queries == 2
+        assert result.mismatches == 0
+        assert len(load_recorded_queries(log_path)) == 2

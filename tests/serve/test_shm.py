@@ -1,10 +1,10 @@
-"""ShmBlock: creation, cross-mapping visibility, and the unlink contract."""
+"""repro.shm.ShmBlock: creation, cross-mapping visibility, unlink contract."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.serve import ShmBlock
+from repro.shm import ShmBlock
 
 
 class TestCreation:

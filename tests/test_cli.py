@@ -258,7 +258,7 @@ class TestBatchIO:
 
 
 class TestServeFlags:
-    """cost --serve-backend/--serve-workers/--prewarm."""
+    """cost --serve-workers/--prewarm/--record."""
 
     def _points_csv(self, tmp_path):
         path = tmp_path / "points.csv"
@@ -267,20 +267,19 @@ class TestServeFlags:
                         "1e6,0.5,,0.8\n")
         return path
 
-    def test_process_backend_output_matches_default(self, tmp_path,
-                                                    capsys):
+    def test_worker_threads_output_matches_default(self, tmp_path,
+                                                   capsys):
         path = str(self._points_csv(tmp_path))
         assert main(["cost", "--input", path, "--density", "150"]) == 0
         default_out = capsys.readouterr().out
         assert main(["cost", "--input", path, "--density", "150",
-                     "--serve-backend", "process",
                      "--serve-workers", "2"]) == 0
-        process_out = capsys.readouterr().out
-        assert process_out == default_out
+        pooled_out = capsys.readouterr().out
+        assert pooled_out == default_out
 
-    def test_unknown_backend_rejected_by_parser(self, capsys):
+    def test_backend_flag_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
-            main(["cost", "--serve-backend", "fiber",
+            main(["cost", "--serve-backend", "thread",
                   "--transistors", "1e6", "--feature-size", "0.8",
                   "--density", "150"])
 
@@ -351,7 +350,8 @@ class TestReplayCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(
             ["replay", "--log", "t.jsonl", "--run-dir", "out"])
-        assert args.configs == "thread,process,auto,tuned"
+        assert not hasattr(args, "configs")
+        assert not hasattr(args, "profile")
         assert args.mode == "closed"
         assert args.workers == 2
         assert args.speed == 1.0
@@ -361,22 +361,19 @@ class TestReplayCommand:
         log_path = self._record(tmp_path, capsys)
         run_dir = tmp_path / "run"
         rc = main(["replay", "--log", str(log_path),
-                   "--run-dir", str(run_dir),
-                   "--configs", "thread,auto,tuned", "--workers", "2"])
+                   "--run-dir", str(run_dir), "--workers", "2"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "parity: all replayed costs bitwise equal" in out
         assert "mismatches" in out
-        for artifact in ("raw/thread.json", "raw/auto.json",
-                         "raw/tuned.json", "profile.json",
-                         "results.csv", "report.md"):
+        for artifact in ("raw/thread.json", "results.csv", "report.md"):
             assert (run_dir / artifact).exists(), artifact
 
     def test_replay_open_mode_with_speedup(self, tmp_path, capsys):
         log_path = self._record(tmp_path, capsys)
         run_dir = tmp_path / "run"
         rc = main(["replay", "--log", str(log_path),
-                   "--run-dir", str(run_dir), "--configs", "thread",
+                   "--run-dir", str(run_dir),
                    "--workers", "1", "--mode", "open",
                    "--speed", "1000"])
         assert rc == 0
@@ -389,13 +386,11 @@ class TestReplayCommand:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_replay_unknown_config_exit_2(self, tmp_path, capsys):
-        log_path = self._record(tmp_path, capsys)
-        rc = main(["replay", "--log", str(log_path),
-                   "--run-dir", str(tmp_path / "run"),
-                   "--configs", "fiber"])
-        assert rc == 2
-        assert "config" in capsys.readouterr().err
+    def test_replay_configs_flag_rejected_by_parser(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["replay", "--log", str(tmp_path / "t.jsonl"),
+                  "--run-dir", str(tmp_path / "run"),
+                  "--configs", "thread"])
 
 
 class TestSweepCommand:
@@ -546,7 +541,6 @@ class TestServeAndLoadgenCommands:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8787
-        assert args.serve_backend == "auto"
         assert args.serve_workers == 1
         assert args.record is None
         assert args.density == 150.0

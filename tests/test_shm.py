@@ -1,17 +1,13 @@
-"""repro.shm promotion: import surface + the vanished-name unlink contract.
+"""repro.shm: canonical-home round trip + the vanished-name unlink contract.
 
 The creation/visibility/lifecycle basics live in
-``tests/serve/test_shm.py`` (written against the original serve-local
-home and kept there to pin the ``repro.serve`` re-export).  This module
-covers what the promotion added:
-
-* ``repro.shm`` is the canonical home; ``repro.serve.shm`` and
-  ``repro.serve`` re-export the *same* class object;
-* an owner whose segment name vanished out from under it (external
-  ``/dev/shm`` sweep, racing second release) swallows the missing name
-  exactly once **and** drops the stale resource-tracker registration,
-  so interpreter shutdown stays silent — no KeyError traceback from
-  the tracker process, no "leaked shared_memory objects" warning.
+``tests/serve/test_shm.py``.  This module checks a create/attach round
+trip through ``repro.shm`` and covers an owner whose
+segment name vanished out from under it (external ``/dev/shm`` sweep,
+racing second release): it swallows the missing name exactly once
+**and** drops the stale resource-tracker registration, so interpreter
+shutdown stays silent — no KeyError traceback from the tracker
+process, no "leaked shared_memory objects" warning.
 """
 
 import subprocess
@@ -23,12 +19,6 @@ from repro.shm import ShmBlock
 
 
 class TestPromotion:
-    def test_canonical_and_compat_homes_are_the_same_class(self):
-        from repro.serve import ShmBlock as serve_block
-        from repro.serve.shm import ShmBlock as serve_shm_block
-        assert serve_block is ShmBlock
-        assert serve_shm_block is ShmBlock
-
     def test_canonical_home_round_trip(self):
         block = ShmBlock.create(2, 3)
         try:
